@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet lint fuzz verify bench bench-shards bench-dataplane bench-city city-smoke blackout-smoke profile clean chaos cover span-alloc-gate
+.PHONY: all build test race vet lint fuzz verify perfbench bench bench-shards bench-dataplane bench-city city-smoke blackout-smoke profile clean chaos cover span-alloc-gate
 
 all: verify
 
@@ -71,6 +71,13 @@ verify:
 	$(MAKE) span-alloc-gate
 	$(MAKE) city-smoke
 	$(MAKE) blackout-smoke
+	$(MAKE) perfbench
+
+# perfbench vets and tests the repo benchmark (_perfbench, its own module
+# that builds against this checkout), so a change to any API it calls
+# fails verify rather than the benchmark run.
+perfbench:
+	cd _perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # span-alloc-gate pins the tracing tax on the unsampled hot path: the
 # not-sampled span branch must stay at 0 allocs/op (DESIGN.md §16), on

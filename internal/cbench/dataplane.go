@@ -24,8 +24,8 @@ type DataplaneOptions struct {
 	// Burst is the packets-per-burst of the fast path; 0 measures the
 	// single-packet SendUpstream baseline instead.
 	Burst int
-	// Workers is the number of engine workers and concurrent generators
-	// (default 1).
+	// Workers is the number of concurrent generators, each walking the
+	// network on its own goroutine (default 1).
 	Workers int
 	// Duration bounds the measurement (default 1s).
 	Duration time.Duration
@@ -70,8 +70,7 @@ func (r DataplaneResult) PerSecond() float64 {
 // dataplaneBed is a middlebox-free line network (gateway - core - access)
 // under a pure-allow policy with Flows warmed upstream flows, so the
 // measurement sees steady-state forwarding only: every packet rides
-// microflow + TCAM state end to end with no punts and no slow-path
-// elements in the path.
+// microflow + TCAM state end to end with no punts and no middleboxes.
 type dataplaneBed struct {
 	net  *dataplane.Network
 	ctrl *core.Controller
@@ -134,19 +133,14 @@ func newDataplaneBed(flows int, reg *obs.Registry) (*dataplaneBed, error) {
 }
 
 // BenchDataplane measures forwarding-plane throughput for one
-// configuration: the burst fast path when opts.Burst > 0, the
-// single-packet SendUpstream baseline otherwise.
+// configuration: BurstSender bursts when opts.Burst > 0, one
+// SendUpstream per packet otherwise.
 func BenchDataplane(opts DataplaneOptions) (DataplaneResult, error) {
 	opts = opts.withDefaults()
 	bed, err := newDataplaneBed(opts.Flows, opts.Obs)
 	if err != nil {
 		return DataplaneResult{}, err
 	}
-	if opts.Burst > 0 {
-		bed.net.EnableFastPath(opts.Workers)
-		defer bed.net.DisableFastPath()
-	}
-
 	var stop atomic.Bool
 	var total uint64
 	var firstErr atomic.Pointer[error]

@@ -2,12 +2,16 @@
 // switchsim.Switch per topology node programmed from the controller's
 // abstract FIBs, live middlebox instances on their attachment ports, local
 // agents on the access switches, inter-station mobility tunnels, and an
-// optional gateway NAT (§4.1). It walks packets hop by hop exactly as the
-// hardware would, which is what the integration and mobility tests observe.
+// optional gateway NAT (§4.1). Packets move through the compiled
+// fastpath.Net, which runs the middleboxes and the NAT in line; the
+// integration and mobility tests observe every walk's hops, dispositions
+// and header rewrites.
 package dataplane
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fastpath"
 	"repro/internal/mbox"
-	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/switchsim"
 	"repro/internal/topo"
@@ -50,9 +53,9 @@ type Network struct {
 	agentAt  map[topo.NodeID]*agent.Agent
 	bindings []publicBinding // §7 public-IP classifiers, re-applied on Sync
 
-	fast *fastpath.Engine // burst fast path; see EnableFastPath (burst.go)
-	obs  *dpObs           // burst telemetry; see Instrument (obs.go)
-	reg  *obs.Registry    // registry handed to the fast path on enable
+	fast    *fastpath.Net // the compiled network every packet walks
+	walkers sync.Pool     // *fastpath.Walker for single-packet sends
+	obs     *dpObs        // burst telemetry; see Instrument (obs.go)
 
 	// Congestion scales the modelled queueing delay per hop (0 = idle
 	// network: only propagation and processing latency accrue). The walk's
@@ -60,8 +63,8 @@ type Network struct {
 	// in shorter virtual queues.
 	Congestion float64
 
-	// Stats; bumped atomically so concurrent fast-path burst senders can
-	// tally alongside the single-threaded walks.
+	// Stats; bumped atomically so concurrent burst senders and
+	// single-packet sends can tally side by side.
 	Delivered uint64
 	Exited    uint64
 	Dropped   uint64
@@ -90,15 +93,18 @@ func New(ctrl *core.Controller, cfg Config) (*Network, error) {
 		plan:     ctrl.Plan(),
 		mbPort:   make(map[topo.MBInstanceID]int),
 	}
+	links := make([][]fastpath.Link, len(t.Nodes))
 	for i := range t.Nodes {
 		n.Switches[i] = switchsim.NewSwitch(t.Nodes[i].Name)
+		for _, next := range t.Nodes[i].Neighbors {
+			links[i] = append(links[i], fastpath.Link{
+				Next:   int32(next),
+				InPort: int32(t.Nodes[next].PortTo(topo.NodeID(i))),
+			})
+		}
 	}
 	// Middlebox ports follow the link ports on the attachment switch.
-	seen := make(map[topo.NodeID]int)
 	for _, inst := range t.MBoxes {
-		port := len(t.Nodes[inst.Attached].Neighbors) + seen[inst.Attached]
-		seen[inst.Attached]++
-		n.mbPort[inst.ID] = port
 		fn, ok := cfg.MBFuncs[inst.Type]
 		if !ok {
 			return nil, fmt.Errorf("dataplane: no function mapped for middlebox type %d", inst.Type)
@@ -108,22 +114,43 @@ func New(ctrl *core.Controller, cfg Config) (*Network, error) {
 			return nil, err
 		}
 		n.Boxes[inst.ID] = box
+		n.mbPort[inst.ID] = len(links[inst.Attached])
+		links[inst.Attached] = append(links[inst.Attached], fastpath.Link{
+			Next: fastpath.NoLink, Box: boxPort{n, box}, BoxID: int32(inst.ID),
+		})
 	}
 	n.agentAt = make(map[topo.NodeID]*agent.Agent)
+	tunnels := make(map[packet.BSID]int32, len(t.Stations))
 	for _, st := range t.Stations {
+		tunnels[st.ID] = int32(st.Access)
 		ag := agent.New(st.ID, n.Switches[st.Access], n.plan, ctrl)
 		ag.PermPool = ctrl.PermPool()
 		n.Agents[st.ID] = ag
 		n.agentAt[st.Access] = ag
 	}
+	fc := fastpath.NetConfig{Switches: n.Switches, Links: links, Tunnels: tunnels}
 	if cfg.NATPool != (packet.Prefix{}) {
 		n.GatewayNAT = mbox.NewNAT(-1, cfg.NATPool)
+		fc.Exit = natExit{n.GatewayNAT}
 	}
+	n.fast = fastpath.NewNet(fc)
+	n.walkers.New = func() any { return n.fast.NewWalker() }
 	return n, nil
 }
 
-// MBPort returns the attachment port of a middlebox instance.
-func (n *Network) MBPort(id topo.MBInstanceID) int { return n.mbPort[id] }
+// boxPort runs a middlebox in the walk, orienting each packet by its
+// addresses.
+type boxPort struct {
+	n   *Network
+	box mbox.Middlebox
+}
+
+func (b boxPort) Process(p *packet.Packet) bool { return b.box.Process(p, b.n.direction(p)) }
+
+// natExit runs the gateway NAT on packets leaving for the Internet.
+type natExit struct{ nat *mbox.NAT }
+
+func (e natExit) Process(p *packet.Packet) bool { return e.nat.Process(p, mbox.Upstream) }
 
 // Sync re-materialises every switch's TCAM from the controller's FIBs.
 // Call it after control-plane changes (path installs, handoffs). Microflow
@@ -137,11 +164,9 @@ func (n *Network) Sync() error {
 	for _, b := range n.bindings {
 		n.installBinding(b)
 	}
-	if n.fast != nil {
-		// Recompile stale fast-path snapshots now, so the control-plane
-		// change is paid for here rather than on the next burst.
-		n.fast.Net().Warm()
-	}
+	// Recompile stale snapshots now, so the control-plane change is paid
+	// for here rather than on the next packet.
+	n.fast.Warm()
 	return nil
 }
 
@@ -325,76 +350,54 @@ func (n *Network) direction(p *packet.Packet) mbox.Direction {
 	return mbox.Upstream
 }
 
-// walk processes a packet starting at node with the given ingress port.
-func (n *Network) walk(node topo.NodeID, inPort int, p *packet.Packet) (WalkResult, error) {
-	res := WalkResult{Packet: p}
-	cur := node
-	for hops := 0; hops < 4*len(n.T.Nodes)+32; hops++ {
-		res.Hops = append(res.Hops, Hop{Node: cur, MB: core.NoMB})
-		v := n.Switches[cur].Process(p, inPort)
-		switch {
-		case v.ToController:
-			res.Disposition, res.Last = PuntedAgent, cur
-			return res, nil
-		case v.Drop:
-			atomic.AddUint64(&n.Dropped, 1)
-			res.Disposition, res.Last = DroppedAt, cur
-			return res, nil
-		case v.Output == switchsim.PortUE:
-			atomic.AddUint64(&n.Delivered, 1)
-			res.Disposition, res.Last = Delivered, cur
-			return res, nil
-		case v.Output == switchsim.PortExit:
-			if n.GatewayNAT != nil && !n.GatewayNAT.Process(p, mbox.Upstream) {
-				atomic.AddUint64(&n.Dropped, 1)
-				res.Disposition, res.Last = DroppedAt, cur
-				return res, nil
-			}
-			atomic.AddUint64(&n.Exited, 1)
-			res.Disposition, res.Last = ExitedNet, cur
-			return res, nil
-		case v.Output >= switchsim.PortTunnelBase:
-			bs := packet.BSID(v.Output - switchsim.PortTunnelBase)
-			st, ok := n.T.Station(bs)
-			if !ok {
-				return res, fmt.Errorf("dataplane: tunnel to unknown station %d", bs)
-			}
-			cur = st.Access
-			inPort = switchsim.PortTunnelBase // tunnel ingress pseudo port
-			continue
-		case v.Output >= len(n.T.Nodes[cur].Neighbors):
-			// Middlebox attachment port.
-			inst, ok := n.mbAtPort(cur, v.Output)
-			if !ok {
-				return res, fmt.Errorf("dataplane: switch %d has no port %d", cur, v.Output)
-			}
-			box := n.Boxes[inst]
-			res.Hops = append(res.Hops, Hop{Node: cur, MB: inst})
+// send walks one packet through the compiled network from node, entering
+// on inPort, and books its disposition in the network's counters.
+func (n *Network) send(node topo.NodeID, inPort int, p *packet.Packet) (WalkResult, error) {
+	w := n.walkers.Get().(*fastpath.Walker)
+	defer n.walkers.Put(w)
+	r, steps := w.Trace(int(node), inPort, p)
+	res := WalkResult{Packet: p, Last: topo.NodeID(r.Last), Hops: make([]Hop, 0, len(steps))}
+	for _, s := range steps {
+		if s.Box != fastpath.NoBox {
+			res.Hops = append(res.Hops, Hop{Node: topo.NodeID(s.Node), MB: topo.MBInstanceID(s.Box)})
 			res.Latency += mbProcessing
-			if !box.Process(p, n.direction(p)) {
-				atomic.AddUint64(&n.Dropped, 1)
-				res.Disposition, res.Last = DroppedAt, cur
-				return res, nil
-			}
-			inPort = v.Output // returns on the same port
 			continue
-		default:
-			next := n.T.Nodes[cur].Neighbors[v.Output]
-			inPort = n.T.Nodes[next].PortTo(cur)
-			cur = next
-			res.Latency += hopPropagation + n.queueDelay(p.DSCP)
+		}
+		res.Hops = append(res.Hops, Hop{Node: topo.NodeID(s.Node), MB: core.NoMB})
+		if s.Link {
+			res.Latency += hopPropagation + n.queueDelay(s.DSCP)
 		}
 	}
-	return res, fmt.Errorf("dataplane: packet exceeded hop budget (forwarding loop?)")
+	var err error
+	res.Disposition, err = outcome(r)
+	switch {
+	case err != nil:
+	case res.Disposition == Delivered:
+		atomic.AddUint64(&n.Delivered, 1)
+	case res.Disposition == ExitedNet:
+		atomic.AddUint64(&n.Exited, 1)
+	case res.Disposition == DroppedAt:
+		atomic.AddUint64(&n.Dropped, 1)
+	}
+	return res, err
 }
 
-func (n *Network) mbAtPort(node topo.NodeID, port int) (topo.MBInstanceID, bool) {
-	for id, p := range n.mbPort {
-		if p == port && n.T.Instance(id).Attached == node {
-			return id, true
-		}
+// outcome maps a finished walk to its disposition; a walk the topology
+// cannot finish is an error.
+func outcome(r fastpath.Result) (Disposition, error) {
+	switch r.Disp {
+	case fastpath.DispDelivered:
+		return Delivered, nil
+	case fastpath.DispExited:
+		return ExitedNet, nil
+	case fastpath.DispDropped:
+		return DroppedAt, nil
+	case fastpath.DispPunted:
+		return PuntedAgent, nil
+	case fastpath.DispNoRoute:
+		return DroppedAt, fmt.Errorf("dataplane: switch %d forwarded to a port or tunnel it does not have", r.Last)
 	}
-	return 0, false
+	return DroppedAt, errors.New("dataplane: packet exceeded hop budget (forwarding loop?)")
 }
 
 // SendUpstream injects a packet a UE sends at its base station. First
@@ -408,7 +411,7 @@ func (n *Network) SendUpstream(bs packet.BSID, p *packet.Packet) (WalkResult, er
 	if !ok {
 		return WalkResult{}, fmt.Errorf("dataplane: unknown base station %d", bs)
 	}
-	res, err := n.walk(st.Access, switchsim.PortUE, p)
+	res, err := n.send(st.Access, switchsim.PortUE, p)
 	if err != nil || res.Disposition != PuntedAgent {
 		return res, err
 	}
@@ -425,7 +428,7 @@ func (n *Network) SendUpstream(bs packet.BSID, p *packet.Packet) (WalkResult, er
 	if err := n.Sync(); err != nil { // new paths may have been installed
 		return res, err
 	}
-	res, err = n.walk(st.Access, switchsim.PortUE, p)
+	res, err = n.send(st.Access, switchsim.PortUE, p)
 	if err != nil {
 		return res, err
 	}
@@ -450,7 +453,7 @@ func (n *Network) resolveArrivalPunts(res WalkResult, p *packet.Packet) (WalkRes
 			res.Disposition = DroppedAt
 			return res, nil
 		}
-		next, err := n.walk(res.Last, switchsim.PortTunnelBase, p)
+		next, err := n.send(res.Last, switchsim.PortTunnelBase, p)
 		if err != nil {
 			return next, err
 		}
@@ -469,7 +472,7 @@ func (n *Network) SendDownstream(p *packet.Packet) (WalkResult, error) {
 		atomic.AddUint64(&n.Dropped, 1)
 		return WalkResult{Disposition: DroppedAt, Last: n.Ctrl.Gateway(), Packet: p}, nil
 	}
-	res, err := n.walk(n.Ctrl.Gateway(), switchsim.PortExit, p)
+	res, err := n.send(n.Ctrl.Gateway(), switchsim.PortExit, p)
 	if err != nil {
 		return res, err
 	}

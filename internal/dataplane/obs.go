@@ -5,13 +5,13 @@ import (
 )
 
 // dpObs is the data plane's burst-injection telemetry: burst shape at the
-// network entry points plus slow-path fallbacks. A nil *dpObs is a no-op;
-// every hot-path update is an atomic add or a fixed-bucket observe.
+// network entry points plus packets punted to an agent. A nil *dpObs is a
+// no-op; every hot-path update is an atomic add or a fixed-bucket observe.
 type dpObs struct {
-	bursts  *obs.Counter   // bursts injected via SendUpstreamBurst
+	bursts  *obs.Counter   // bursts injected via BurstSender.Send
 	burstSz *obs.Histogram // injected burst sizes in packets
 	pkts    *obs.Counter   // packets injected through burst sends
-	slow    *obs.Counter   // packets replayed on the stateful slow path
+	slow    *obs.Counter   // burst packets resolved through an agent
 }
 
 // newDPObs registers the data plane's series on reg; nil reg returns nil.
@@ -42,11 +42,11 @@ func (o *dpObs) slowPath() {
 }
 
 // Instrument registers the data plane's burst telemetry and every
-// switch's pipeline counters on reg. Call it before EnableFastPath so the
-// fast path inherits the same registry.
+// switch's pipeline counters and the compiled network's on reg. Call it
+// before sending traffic.
 func (n *Network) Instrument(reg *obs.Registry) {
 	n.obs = newDPObs(reg)
-	n.reg = reg
+	n.fast.Instrument(reg)
 	for _, sw := range n.Switches {
 		sw.Instrument(reg)
 	}

@@ -1,19 +1,22 @@
-// Package fastpath is the burst-mode forwarding fast path: an immutable,
-// compiled snapshot of a switchsim.Switch's three tables (microflow exact
-// match, prioritised TCAM, table-miss default) published behind an
-// atomic.Pointer and swapped whenever the switch's rule tables mutate,
-// plus a multi-worker engine that drives packet bursts through a whole
-// topology with zero shared locks in steady state.
+// Package fastpath is the data plane's one forwarding executor: an
+// immutable, compiled snapshot of a switchsim.Switch's three tables
+// (microflow exact match, prioritised TCAM, table-miss default) published
+// behind an atomic.Pointer and swapped whenever the switch's rule tables
+// mutate, plus a Walker that moves packets, singly or in bursts, through
+// a whole compiled topology with zero shared locks in steady state.
+// Middlebox attachment ports and the gateway NAT are explicit kinds in
+// the compiled Net, run in line by the walk.
 //
-// The design follows production burst-oriented routers (per-worker
-// pipelines over immutable per-worker FIB views) and the control/data
-// decoupling the paper's architecture assumes: data-plane workers
-// classify from local snapshots; the control plane publishes new tables
-// by bumping the switch's generation, never by taking a lock the workers
-// share. The differential guarantee — enforced by property tests, a fuzz
-// target and the -race swap stress — is that every burst verdict equals
-// the verdict of the single-packet switchsim.Process walk over the same
-// tables, including the header rewrites applied to the packet.
+// The design follows production burst-oriented routers (per-walker
+// scratch over immutable FIB views) and the control/data decoupling the
+// paper's architecture assumes: walkers classify from local snapshots;
+// the control plane publishes new tables by bumping the switch's
+// generation, never by taking a lock the walkers share. Two oracles hold
+// it to account. Per switch, every compiled verdict equals the
+// switchsim.Process verdict over the same tables, header rewrites
+// included (property tests, a fuzz target and the -race swap stress).
+// Per network, every walk's switch and middlebox sequence equals the
+// controller's own core.Installer.Trace (internal/dataplane's tests).
 package fastpath
 
 import (
@@ -373,14 +376,8 @@ func prefixMask(length int) uint32 {
 	return ^uint32(0) << (32 - length)
 }
 
-// Switch returns the switch the snapshot was compiled from.
-func (s *Snapshot) Switch() *switchsim.Switch { return s.src }
-
 // NumRules reports compiled TCAM entries (microflows excluded).
 func (s *Snapshot) NumRules() int { return len(s.tcam) }
-
-// NumMicroflows reports compiled exact-match entries.
-func (s *Snapshot) NumMicroflows() int { return len(s.mrul) }
 
 // exec applies one compiled rule to the packet and builds its verdict,
 // attributing traffic to the burst tally (flushed to the live rules'
@@ -397,7 +394,7 @@ func (s *Snapshot) exec(r *crule, p *packet.Packet, t *tally) Verdict {
 	}
 }
 
-// Lookup runs one packet through the compiled pipeline, mirroring
+// lookup runs one packet through the compiled pipeline, mirroring
 // switchsim.Process step for step: microflow exact match first, then the
 // TCAM in priority order with at most four resubmits, then the table-miss
 // action. Rewrites are applied to p in place. The burst tallies accrue in

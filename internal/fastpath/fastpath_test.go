@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/switchsim"
 )
@@ -132,6 +131,21 @@ func headerEq(a, b *packet.Packet) bool {
 		a.Proto == b.Proto && a.DSCP == b.DSCP
 }
 
+// processBurst runs a burst arriving on inPort through one switch's
+// compiled tables the way the walker does at every hop: one snapshot
+// acquisition for the burst, one tally flush to the switch afterwards.
+func processBurst(f *FIB, pkts []*packet.Packet, inPort int) []Verdict {
+	snap := f.Acquire()
+	var t tally
+	t.ensure(snap.slots())
+	vs := make([]Verdict, len(pkts))
+	for i, p := range pkts {
+		vs[i] = snap.lookup(p, inPort, &t)
+	}
+	snap.flush(&t)
+	return vs
+}
+
 // checkEquivalence builds a random switch and burst from rng and fails t
 // if any burst verdict or resulting header differs from the sequential
 // Process path over an identical switch.
@@ -163,7 +177,7 @@ func checkEquivalence(t *testing.T, rng *rand.Rand) {
 	}
 	inPort := rng.Intn(4)
 
-	got := NewFIB(fast).NewProc().ProcessBurst(burst, inPort)
+	got := processBurst(NewFIB(fast), burst, inPort)
 	for i := range burst {
 		want := ref.Process(seq[i], inPort)
 		var wantID switchsim.RuleID
@@ -198,7 +212,7 @@ func checkEquivalence(t *testing.T, rng *rand.Rand) {
 }
 
 // TestBurstEquivalenceQuick is the property test: for arbitrary tables
-// and bursts, ProcessBurst ≡ sequential Process — verdicts, header
+// and bursts, the compiled pipeline ≡ sequential Process — verdicts, header
 // rewrites, and traffic accounting.
 func TestBurstEquivalenceQuick(t *testing.T) {
 	f := func(seed int64) bool {
@@ -296,13 +310,12 @@ func TestSnapshotSwapRace(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed))
-			proc := fib.NewProc()
 			burst := make([]*packet.Packet, 32)
 			for !stop.Load() {
 				for i := range burst {
 					burst[i] = genPacket(r)
 				}
-				proc.ProcessBurst(burst, r.Intn(4))
+				processBurst(fib, burst, r.Intn(4))
 			}
 		}(int64(w))
 	}
@@ -338,145 +351,10 @@ func TestSnapshotSwapRace(t *testing.T) {
 	}
 	p1, p2 := genPacket(rng), genPacket(rng)
 	*p2 = *p1
-	v := fib.NewProc().ProcessBurst([]*packet.Packet{p1}, 0)[0]
+	v := processBurst(fib, []*packet.Packet{p1}, 0)[0]
 	want := sw.Process(p2, 0)
 	if v.Output != want.Output || v.Drop != want.Drop || v.ToController != want.ToController {
 		t.Fatalf("post-churn divergence: burst %+v vs process out=%d drop=%v punt=%v",
 			v, want.Output, want.Drop, want.ToController)
-	}
-}
-
-// TestEngineWalk drives bursts through a 3-node line (access - core -
-// gateway) and checks dispositions, hop counts, tunnel forwarding, and
-// the slow-path classifications.
-func TestEngineWalk(t *testing.T) {
-	// Topology: node 0 (access) -port0-> node 1 (core) -port1-> node 2
-	// (gateway). Reverse links exist but carry no rules.
-	sws := []*switchsim.Switch{
-		switchsim.NewSwitch("access"), switchsim.NewSwitch("core"), switchsim.NewSwitch("gw"),
-	}
-	links := [][]Link{
-		{{Next: 1, InPort: 0}},                       // access port 0 -> core in 0
-		{{Next: 0, InPort: 0}, {Next: 2, InPort: 0}}, // core: port 0 back, port 1 -> gw
-		{{Next: 1, InPort: 1}},                       // gw port 0 back to core
-	}
-	dstUE := packet.Prefix{Addr: 10, Len: 32}
-	dstNet := packet.Prefix{Addr: 99, Len: 32}
-	// Upstream: access forwards to core, core to gateway, gateway exits.
-	sws[0].Install(100, switchsim.Match{InPort: switchsim.AnyPort, Dst: dstNet}, switchsim.Forward(0))
-	sws[1].Install(100, switchsim.Match{InPort: switchsim.AnyPort, Dst: dstNet}, switchsim.Forward(1))
-	sws[2].Install(100, switchsim.Match{InPort: switchsim.AnyPort, Dst: dstNet}, switchsim.Forward(switchsim.PortExit))
-	// Downstream delivery at the access switch.
-	sws[0].Install(100, switchsim.Match{InPort: switchsim.AnyPort, Dst: dstUE}, switchsim.Forward(switchsim.PortUE))
-	// A mobility tunnel entry at the core: traffic to Addr 20 tunnels to
-	// base station 7, whose access node is node 0.
-	dstMob := packet.Prefix{Addr: 20, Len: 32}
-	sws[1].Install(700, switchsim.Match{InPort: switchsim.AnyPort, Dst: dstMob}, switchsim.Forward(switchsim.PortTunnelBase+7))
-	sws[0].Install(100, switchsim.Match{InPort: switchsim.PortUE, Dst: dstMob}, switchsim.Forward(0))
-	sws[0].Install(100, switchsim.Match{InPort: switchsim.PortTunnelBase, Dst: dstMob}, switchsim.Forward(switchsim.PortUE))
-	// A middlebox-ish port with no link entry at the access switch.
-	dstMB := packet.Prefix{Addr: 30, Len: 32}
-	sws[0].Install(100, switchsim.Match{InPort: switchsim.AnyPort, Dst: dstMB}, switchsim.Forward(5))
-
-	reg := obs.New()
-	net := NewNet(NetConfig{
-		Switches: sws,
-		Links:    links,
-		Tunnels:  map[packet.BSID]int32{7: 0},
-		Obs:      reg,
-	})
-	eng := NewEngine(net, 2)
-	defer eng.Close()
-
-	mk := func(dst packet.Addr) *packet.Packet {
-		return &packet.Packet{Src: 10, Dst: dst, SrcPort: 1000, DstPort: 80, Proto: packet.ProtoTCP, TTL: 64}
-	}
-	pkts := []*packet.Packet{mk(99), mk(10), mk(20), mk(30), mk(50)}
-	res := eng.Forward(0, switchsim.PortUE, pkts, make([]Result, len(pkts)))
-
-	want := []struct {
-		disp Disp
-		last int32
-		hops int32
-	}{
-		{DispExited, 2, 3},    // up through the line and out
-		{DispDelivered, 0, 1}, // delivered at the access switch
-		{DispDelivered, 0, 3}, // access -> core -> tunnel back to access
-		{DispSlow, 0, 1},      // unlinked (middlebox) port
-		{DispDropped, 0, 1},   // table miss drops
-	}
-	for i, w := range want {
-		if res[i].Disp != w.disp || res[i].Last != w.last || res[i].Hops != w.hops {
-			t.Errorf("packet %d: got %s at node %d after %d hops, want %s at %d after %d",
-				i, res[i].Disp, res[i].Last, res[i].Hops, w.disp, w.last, w.hops)
-		}
-	}
-
-	// SlowExit reroutes exits to the slow path.
-	slow := NewNet(NetConfig{Switches: sws, Links: links, Tunnels: map[packet.BSID]int32{7: 0}, SlowExit: true})
-	e2 := NewEngine(slow, 1)
-	defer e2.Close()
-	r2 := e2.Forward(0, switchsim.PortUE, []*packet.Packet{mk(99)}, make([]Result, 1))
-	if r2[0].Disp != DispSlow {
-		t.Fatalf("SlowExit: got %s, want %s", r2[0].Disp, DispSlow)
-	}
-
-	// A forwarding loop must exhaust the hop budget, not hang.
-	loop := []*switchsim.Switch{switchsim.NewSwitch("a"), switchsim.NewSwitch("b")}
-	loop[0].Install(1, switchsim.MatchAll(), switchsim.Forward(0))
-	loop[1].Install(1, switchsim.MatchAll(), switchsim.Forward(0))
-	ln := NewNet(NetConfig{
-		Switches: loop,
-		Links:    [][]Link{{{Next: 1, InPort: 0}}, {{Next: 0, InPort: 0}}},
-	})
-	e3 := NewEngine(ln, 1)
-	defer e3.Close()
-	r3 := e3.Forward(0, 0, []*packet.Packet{mk(1)}, make([]Result, 1))
-	if r3[0].Disp != DispLoop {
-		t.Fatalf("loop: got %s, want %s", r3[0].Disp, DispLoop)
-	}
-
-	// Telemetry flowed: packets walked and bursts observed.
-	if reg.Counter("fastpath.packets").Value() == 0 {
-		t.Fatal("fastpath.packets counter never moved")
-	}
-	if reg.Counter("fastpath.bursts").Value() == 0 {
-		t.Fatal("fastpath.bursts counter never moved")
-	}
-}
-
-// TestEngineConcurrentSubmit pushes many async jobs across workers and
-// checks every one completes with consistent results.
-func TestEngineConcurrentSubmit(t *testing.T) {
-	sw := switchsim.NewSwitch("s")
-	sw.Install(1, switchsim.MatchAll(), switchsim.Forward(switchsim.PortUE))
-	net := NewNet(NetConfig{Switches: []*switchsim.Switch{sw}, Links: [][]Link{{}}})
-	eng := NewEngine(net, 4)
-	defer eng.Close()
-
-	const jobs = 64
-	var done sync.WaitGroup
-	done.Add(jobs)
-	for j := 0; j < jobs; j++ {
-		pkts := make([]*packet.Packet, 8)
-		for i := range pkts {
-			pkts[i] = &packet.Packet{Src: packet.Addr(j), Dst: 1, SrcPort: uint16(i), DstPort: 80, Proto: packet.ProtoTCP}
-		}
-		eng.Submit(&Job{
-			Origin: 0, InPort: switchsim.PortUE,
-			Pkts: pkts, Res: make([]Result, len(pkts)),
-			Done: func(jb *Job) {
-				for i := range jb.Res {
-					if jb.Res[i].Disp != DispDelivered {
-						t.Errorf("job packet %d: %s, want delivered", i, jb.Res[i].Disp)
-					}
-				}
-				done.Done()
-			},
-		})
-	}
-	done.Wait()
-	if got := atomic.LoadUint64(&sw.Processed); got != jobs*8 {
-		t.Fatalf("switch processed %d packets, want %d", got, jobs*8)
 	}
 }

@@ -3,7 +3,6 @@ package fastpath
 import (
 	"sync/atomic"
 
-	"repro/internal/packet"
 	"repro/internal/switchsim"
 )
 
@@ -27,7 +26,7 @@ func NewFIB(sw *switchsim.Switch) *FIB {
 // Switch returns the wrapped switch.
 func (f *FIB) Switch() *switchsim.Switch { return f.sw }
 
-// instrument attaches telemetry; see Net/Engine instrumentation.
+// instrument attaches telemetry; see Net.Instrument.
 func (f *FIB) instrument(o *fpObs) { f.o = o }
 
 // Acquire returns a snapshot that is current as of the call: its
@@ -57,44 +56,4 @@ func (f *FIB) Acquire() *Snapshot {
 			return ns
 		}
 	}
-}
-
-// Proc is one worker's processing handle on a FIB: it owns the reusable
-// verdict scratch and the burst tally, so steady-state burst processing
-// allocates nothing and shares no mutable state with other workers.
-type Proc struct {
-	fib      *FIB
-	verdicts []Verdict
-	t        tally
-}
-
-// NewProc returns a processing handle. Each concurrent worker needs its
-// own; handles are cheap.
-func (f *FIB) NewProc() *Proc {
-	return &Proc{fib: f}
-}
-
-// ProcessBurst runs a burst of packets arriving on inPort through the
-// switch's compiled tables: the snapshot is acquired once for the whole
-// burst, verdicts land in the handle's reusable scratch (valid until the
-// next call), and switch accounting plus telemetry flush once per burst.
-// Header rewrites are applied to the packets in place, exactly as the
-// single-packet Process path would.
-//
-// hotpath: no alloc, no lock
-func (p *Proc) ProcessBurst(pkts []*packet.Packet, inPort int) []Verdict {
-	snap := p.fib.Acquire()
-	if cap(p.verdicts) < len(pkts) {
-		//lint:ignore hotpath scratch growth on the first oversized burst only; steady state reuses it
-		p.verdicts = make([]Verdict, len(pkts))
-	}
-	p.verdicts = p.verdicts[:len(pkts)]
-	//lint:ignore hotpath accumulator grows only when a recompiled snapshot gains slots (see tally.ensure)
-	p.t.ensure(snap.slots())
-	for i, pkt := range pkts {
-		p.verdicts[i] = snap.lookup(pkt, inPort, &p.t)
-	}
-	snap.flush(&p.t)
-	p.fib.o.burst(len(pkts))
-	return p.verdicts
 }

@@ -13,8 +13,7 @@ type fpObs struct {
 	staleHit *obs.Counter   // stale snapshots detected (generation moved)
 	bursts   *obs.Counter   // bursts processed (per-switch acquisitions)
 	burstSz  *obs.Histogram // burst sizes in packets
-	pkts     *obs.Counter   // packets entering engine walks
-	slow     *obs.Counter   // packets handed to the slow path
+	pkts     *obs.Counter   // packets entering walks
 	looped   *obs.Counter   // packets exceeding the hop budget
 }
 
@@ -29,7 +28,6 @@ func newFPObs(reg *obs.Registry) *fpObs {
 		bursts:   reg.Counter("fastpath.bursts"),
 		burstSz:  reg.Histogram("fastpath.burst.size", 1, 2, 4, 8, 16, 32, 64, 128, 256),
 		pkts:     reg.Counter("fastpath.packets"),
-		slow:     reg.Counter("fastpath.slowpath"),
 		looped:   reg.Counter("fastpath.looped"),
 	}
 }
@@ -56,12 +54,6 @@ func (o *fpObs) burst(n int) {
 func (o *fpObs) walked(n int) {
 	if o != nil {
 		o.pkts.Add(uint64(n))
-	}
-}
-
-func (o *fpObs) slowPath() {
-	if o != nil {
-		o.slow.Inc()
 	}
 }
 

@@ -243,9 +243,11 @@ func (s *Shard) serve(batch []*work, qs *[]core.PathQuery, idx *[]int, ans *[]co
 		case opView:
 			w.view, w.err = s.Ctrl.AgentView(w.bs)
 		}
+		// Count before releasing: a caller that returns must already see
+		// its own request in Served.
+		s.served.Add(1)
 		w.done <- struct{}{}
 	}
-	s.served.Add(uint64(len(batch)))
 }
 
 // close shuts the queue down and waits for the workers to drain it.
