@@ -753,7 +753,8 @@ func (in *Installer) installSteps(dir Direction, steps []step, t packet.Tag, pre
 	delta := 0
 	mainUse := in.scratch.installUse
 	clear(mainUse)
-	doInsert := func(tr *prefixTrie, nh NextHop) {
+	doInsert := func(f *FIB, tr *prefixTrie, nh NextHop) {
+		f.touch()
 		if in.Opts.NoPrefixAggregation {
 			delta += insertNoAgg(tr, prefix, nh)
 		} else {
@@ -768,13 +769,13 @@ func (in *Installer) installSteps(dir Direction, steps []step, t packet.Tag, pre
 			if stMB := f.mbState(dir, st.fromMB, t, false); stMB != nil {
 				if nh, ok := stMB.prefixLookup(prefix); ok {
 					if nh != st.next {
-						doInsert(stMB.trie(), st.next)
+						doInsert(f, stMB.trie(), st.next)
 					}
 					continue
 				}
 				if stMB.hasDef {
 					if stMB.def != st.next {
-						doInsert(stMB.trie(), st.next)
+						doInsert(f, stMB.trie(), st.next)
 					}
 					continue
 				}
@@ -785,7 +786,7 @@ func (in *Installer) installSteps(dir Direction, steps []step, t packet.Tag, pre
 					continue
 				}
 				// Prefix-precise override outranking the location rule.
-				doInsert(f.mbState(dir, st.fromMB, t, true).trie(), st.next)
+				doInsert(f, f.mbState(dir, st.fromMB, t, true).trie(), st.next)
 				continue
 			}
 			if in.canonicalStep(dir, st, canon) {
@@ -806,13 +807,13 @@ func (in *Installer) installSteps(dir Direction, steps []step, t packet.Tag, pre
 				delta += f.SetMBDefault(dir, st.fromMB, t, st.next)
 				continue
 			}
-			doInsert(f.mbState(dir, st.fromMB, t, true).trie(), st.next)
+			doInsert(f, f.mbState(dir, st.fromMB, t, true).trie(), st.next)
 			continue
 		}
 		if ps := f.portState(dir, st.inFrom, t, false); ps != nil {
 			if nh, ok := ps.prefixLookup(prefix); ok {
 				if nh != st.next {
-					doInsert(ps.trie(), st.next)
+					doInsert(f, ps.trie(), st.next)
 				}
 				continue
 			}
@@ -841,7 +842,7 @@ func (in *Installer) installSteps(dir Direction, steps []step, t packet.Tag, pre
 			continue
 		}
 		if prev, used := mainUse[st.sw]; used && prev != st.next {
-			doInsert(f.portState(dir, st.inFrom, t, true).trie(), st.next)
+			doInsert(f, f.portState(dir, st.inFrom, t, true).trie(), st.next)
 			continue
 		}
 		if !fromTag {
@@ -861,7 +862,7 @@ func (in *Installer) installSteps(dir Direction, steps []step, t packet.Tag, pre
 				continue
 			}
 		}
-		doInsert(f.state(dir, t, true).trie(), st.next)
+		doInsert(f, f.state(dir, t, true).trie(), st.next)
 		mainUse[st.sw] = st.next
 	}
 	return delta

@@ -90,8 +90,10 @@ type ControllerConfig struct {
 //     map, and topology up/down flags — everything Algorithm 1 and prefix
 //     aggregation touch. The Installer itself is not safe for concurrent
 //     use; every controller code path that mutates or reads it holds
-//     ruleMu. External read-only access (dataplane assembly, examples,
-//     trace dumps) happens in single-threaded contexts by design.
+//     ruleMu. The data plane reads the FIBs through ExportChangedFIBs,
+//     which holds it too; other external read-only access (dataplane
+//     assembly, examples, trace dumps) happens in single-threaded
+//     contexts by design.
 //
 // lock ordering: ueMu, allocMu, ruleMu — a later mutex may be acquired
 // while holding an earlier one, never the reverse. The fastest path of all,
@@ -746,6 +748,33 @@ func (c *Controller) RecoverLocations(reports []AgentLocationReport) error {
 		}
 	}
 	return nil
+}
+
+// ChangedFIB names one switch ExportChangedFIBs exported. Its rules end
+// at index End of the returned rules and start where the previous
+// switch's end.
+type ChangedFIB struct {
+	Node topo.NodeID
+	End  int
+}
+
+// ExportChangedFIBs is the data plane's consistent read of the rule
+// tables. Under ruleMu it appends to rules the exported rules of every
+// switch whose FIB is no longer the one stamps[node] records (mutated
+// since, or replaced by a rebuild), appends the switch to changed, and
+// advances its stamp. Switches whose stamp still matches cost one
+// comparison each, and a call with nothing changed allocates nothing.
+func (c *Controller) ExportChangedFIBs(stamps []FIBStamp, rules []ExportedRule, changed []ChangedFIB) ([]ExportedRule, []ChangedFIB) {
+	c.ruleMu.Lock()
+	defer c.ruleMu.Unlock()
+	for i, f := range c.Installer.fibs {
+		if st := f.Stamp(); stamps[i] != st {
+			f.Export(func(r ExportedRule) { rules = append(rules, r) })
+			changed = append(changed, ChangedFIB{Node: topo.NodeID(i), End: len(rules)})
+			stamps[i] = st
+		}
+	}
+	return rules, changed
 }
 
 // RemovePolicyPaths withdraws every installed path of one policy clause

@@ -191,22 +191,43 @@ func (t *prefixTrie) Insert(p packet.Prefix, nh NextHop) int {
 // Count reports live entries.
 func (t *prefixTrie) Count() int { return t.count }
 
-// Walk visits every live entry.
+// Walk visits every live entry in preorder (shorter prefixes first, then
+// the 0-branch before the 1-branch). It runs on an explicit stack and
+// stops once every live entry is visited, so the data plane's export of a
+// changed switch does not pay a call per trie node.
 func (t *prefixTrie) Walk(fn func(p packet.Prefix, nh NextHop)) {
-	var rec func(n *trieNode, addr packet.Addr, depth int)
-	rec = func(n *trieNode, addr packet.Addr, depth int) {
-		if n == nil {
-			return
-		}
+	type frame struct {
+		n     *trieNode
+		addr  packet.Addr
+		depth int
+	}
+	var stack [33]frame // one pending 1-branch per depth at most
+	sp := 0
+	left := t.count
+	n, addr, depth := t.root, packet.Addr(0), 0
+	for left > 0 {
 		if n.set {
 			fn(packet.Prefix{Addr: addr, Len: depth}, n.nh)
+			left--
 		}
+		var next *trieNode
 		if depth < 32 {
-			rec(n.child[0], addr, depth+1)
-			rec(n.child[1], addr|packet.Addr(1)<<(31-depth), depth+1)
+			if c := n.child[1]; c != nil {
+				stack[sp] = frame{c, addr | packet.Addr(1)<<(31-depth), depth + 1}
+				sp++
+			}
+			next = n.child[0]
 		}
+		if next != nil {
+			n, depth = next, depth+1
+			continue
+		}
+		if sp == 0 {
+			return
+		}
+		sp--
+		n, addr, depth = stack[sp].n, stack[sp].addr, stack[sp].depth
 	}
-	rec(t.root, 0, 0)
 }
 
 // Direction orients forwarding state: downstream rules match on destination
@@ -325,7 +346,28 @@ type FIB struct {
 	// state here, used to seed Algorithm 1's candidate set cheaply.
 	recentTags []packet.Tag
 	seen       map[packet.Tag]bool
+
+	// ver is the mutation version: every Insert*, Set* and Remove* (and
+	// Algorithm 1's direct trie writes) bumps it, so a consumer that
+	// materialised the FIB at a stamp knows it is current while Stamp
+	// still reads the same. Written under the controller's ruleMu.
+	ver uint64
 }
+
+// touch records one mutation.
+func (f *FIB) touch() { f.ver++ }
+
+// FIBStamp identifies one materialised state of a switch's FIB: the FIB
+// object (Installer.Rebuild replaces every one) and its mutation version.
+// The zero stamp matches no FIB, so it marks a switch as never
+// materialised.
+type FIBStamp struct {
+	fib *FIB
+	ver uint64
+}
+
+// Stamp returns the FIB's current stamp.
+func (f *FIB) Stamp() FIBStamp { return FIBStamp{fib: f, ver: f.ver} }
 
 // NewFIB returns an empty FIB for a switch.
 func NewFIB(n topo.NodeID) *FIB {
@@ -409,6 +451,7 @@ func (f *FIB) LookupLocation(dir Direction, p packet.Prefix) (NextHop, bool) {
 
 // InsertLocation installs a Type 3 prefix-only rule, aggregating siblings.
 func (f *FIB) InsertLocation(dir Direction, p packet.Prefix, nh NextHop) int {
+	f.touch()
 	t := f.loc[dir]
 	if t == nil {
 		t = newPrefixTrie()
@@ -469,6 +512,7 @@ func (f *FIB) LookupMBLocation(dir Direction, mb topo.MBInstanceID, p packet.Pre
 // InsertMBLocation installs a tag-independent location rule in a
 // middlebox-return context.
 func (f *FIB) InsertMBLocation(dir Direction, mb topo.MBInstanceID, p packet.Prefix, nh NextHop) int {
+	f.touch()
 	t := f.mbLoc[mbLocKey{dir, mb}]
 	if t == nil {
 		t = newPrefixTrie()
@@ -521,12 +565,14 @@ func (f *FIB) ExactMain(dir Direction, tag packet.Tag, p packet.Prefix) (NextHop
 // InsertPortPrefix installs an in-port-qualified (tag, prefix) rule for
 // traffic arriving from neighbor 'from'.
 func (f *FIB) InsertPortPrefix(dir Direction, from topo.NodeID, tag packet.Tag, p packet.Prefix, nh NextHop) int {
+	f.touch()
 	return f.portState(dir, from, tag, true).trie().Insert(p, nh)
 }
 
 // SetDefault installs the tag-only (Type 2) rule. It returns the rule-count
 // delta (1 when new, 0 when overwriting).
 func (f *FIB) SetDefault(dir Direction, tag packet.Tag, nh NextHop) int {
+	f.touch()
 	st := f.state(dir, tag, true)
 	delta := 0
 	if !st.hasDef {
@@ -539,11 +585,13 @@ func (f *FIB) SetDefault(dir Direction, tag packet.Tag, nh NextHop) int {
 
 // InsertPrefix installs a (tag, prefix) Type 1 rule, aggregating siblings.
 func (f *FIB) InsertPrefix(dir Direction, tag packet.Tag, p packet.Prefix, nh NextHop) int {
+	f.touch()
 	return f.state(dir, tag, true).trie().Insert(p, nh)
 }
 
 // SetMBDefault installs the tag-only rule in a middlebox-return context.
 func (f *FIB) SetMBDefault(dir Direction, mb topo.MBInstanceID, tag packet.Tag, nh NextHop) int {
+	f.touch()
 	st := f.mbState(dir, mb, tag, true)
 	delta := 0
 	if !st.hasDef {
@@ -556,11 +604,13 @@ func (f *FIB) SetMBDefault(dir Direction, mb topo.MBInstanceID, tag packet.Tag, 
 
 // InsertMBPrefix installs a (tag, prefix) rule in a middlebox-return context.
 func (f *FIB) InsertMBPrefix(dir Direction, mb topo.MBInstanceID, tag packet.Tag, p packet.Prefix, nh NextHop) int {
+	f.touch()
 	return f.mbState(dir, mb, tag, true).trie().Insert(p, nh)
 }
 
 // InsertMobility installs a full-LocIP override for one tag (Fig. 3(b)).
 func (f *FIB) InsertMobility(dir Direction, tag packet.Tag, loc packet.Addr, nh NextHop) int {
+	f.touch()
 	k := tagKey{dir, tag}
 	t := f.mob[k]
 	if t == nil {

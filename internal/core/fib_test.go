@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/packet"
+	"repro/internal/routing"
 	"repro/internal/topo"
 )
 
@@ -142,6 +143,99 @@ func TestTrieWalk(t *testing.T) {
 	}
 }
 
+// allEntries lists a trie's live entries by visiting every node.
+func allEntries(tr *prefixTrie) []packet.Prefix {
+	var out []packet.Prefix
+	var rec func(n *trieNode, addr packet.Addr, depth int)
+	rec = func(n *trieNode, addr packet.Addr, depth int) {
+		if n == nil {
+			return
+		}
+		if n.set {
+			out = append(out, packet.Prefix{Addr: addr, Len: depth})
+		}
+		if depth < 32 {
+			rec(n.child[0], addr, depth+1)
+			rec(n.child[1], addr|packet.Addr(1)<<(31-depth), depth+1)
+		}
+	}
+	rec(tr.root, 0, 0)
+	return out
+}
+
+// TestQuickTrieWalkVisitsEveryEntry holds Walk, which stops once Count
+// entries are visited, to a full node-by-node traversal over random
+// inserts (with and without aggregation) and removals: same entries,
+// same order.
+func TestQuickTrieWalkVisitsEveryEntry(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		tr := newPrefixTrie()
+		var added []packet.Prefix
+		for i := 0; i < 40; i++ {
+			p := pfx(packet.AddrFrom4(10, byte(r.Intn(4)), byte(r.Intn(256)), byte(r.Intn(256))), 8+r.Intn(25))
+			switch r.Intn(3) {
+			case 0:
+				tr.Insert(p, ToNode(topo.NodeID(r.Intn(3))))
+			case 1:
+				insertNoAgg(tr, p, ToNode(topo.NodeID(r.Intn(3))))
+			case 2:
+				if len(added) > 0 {
+					tr.Remove(added[r.Intn(len(added))])
+				}
+				continue
+			}
+			added = append(added, p)
+		}
+		var got []packet.Prefix
+		tr.Walk(func(p packet.Prefix, _ NextHop) { got = append(got, p) })
+		want := allEntries(tr)
+		if len(got) != len(want) || len(got) != tr.Count() {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFIBVersionBumps checks that every mutator moves the FIB's version,
+// the data plane's signal to re-materialise the switch.
+func TestFIBVersionBumps(t *testing.T) {
+	f := NewFIB(0)
+	loc := packet.AddrFrom4(10, 0, 0, 9)
+	p := pfx(packet.AddrFrom4(10, 0, 0, 0), 24)
+	for name, mut := range map[string]func(){
+		"InsertLocation":       func() { f.InsertLocation(Down, p, ToNode(1)) },
+		"InsertMBLocation":     func() { f.InsertMBLocation(Down, 3, p, ToNode(1)) },
+		"InsertPortPrefix":     func() { f.InsertPortPrefix(Down, 2, 7, p, ToNode(1)) },
+		"SetDefault":           func() { f.SetDefault(Up, 7, ToNode(1)) },
+		"InsertPrefix":         func() { f.InsertPrefix(Up, 7, p, ToNode(2)) },
+		"SetMBDefault":         func() { f.SetMBDefault(Up, 3, 7, ToNode(1)) },
+		"InsertMBPrefix":       func() { f.InsertMBPrefix(Up, 3, 7, p, ToNode(1)) },
+		"InsertMobility":       func() { f.InsertMobility(Down, 7, loc, ToNode(1)) },
+		"RemoveMobility":       func() { f.RemoveMobility(Down, 7, loc) },
+		"insertMobilityNoAgg":  func() { f.insertMobilityNoAgg(Down, 7, loc, ToNode(1)) },
+		"insertMobilityFromMB": func() { f.insertMobilityFromMB(Down, 3, 7, loc, ToNode(1)) },
+		"removeMobilityFromMB": func() { f.removeMobilityFromMB(Down, 3, 7, loc) },
+	} {
+		before := f.Stamp()
+		mut()
+		if f.Stamp() == before || f.ver <= before.ver {
+			t.Errorf("%s did not bump the FIB version", name)
+		}
+	}
+	if NewFIB(0).Stamp() == f.Stamp() || (FIBStamp{}) == NewFIB(0).Stamp() {
+		t.Error("a fresh FIB's stamp must differ from another FIB's and from the zero stamp")
+	}
+}
+
 func TestFIBDefaultsAndOverrides(t *testing.T) {
 	f := NewFIB(0)
 	p1 := pfx(packet.AddrFrom4(10, 0, 16, 0), 20)
@@ -273,5 +367,49 @@ func TestNextHopHelpers(t *testing.T) {
 	}
 	if Down.String() != "down" || Up.String() != "up" {
 		t.Fatal("direction strings")
+	}
+}
+
+// exportSet is a FIB's exported rules as a set.
+func exportSet(f *FIB) map[ExportedRule]bool {
+	out := make(map[ExportedRule]bool)
+	f.Export(func(r ExportedRule) { out[r] = true })
+	return out
+}
+
+// TestInstallPathBumpsChangedFIBs checks Algorithm 1's direct trie writes:
+// every switch whose exported rules an install changes must report a new
+// stamp, with and without prefix aggregation.
+func TestInstallPathBumpsChangedFIBs(t *testing.T) {
+	for _, opts := range []InstallerOptions{{}, {NoPrefixAggregation: true}, {NoTagDefault: true}} {
+		n := newFig3Net(t)
+		in := mustInstaller(t, n.Topology, opts)
+		pl := routing.NewPlanner(n.Topology)
+		for bs := packet.BSID(0); bs < 4; bs++ {
+			for _, chain := range [][]topo.MBType{{0}, {0, 1}, {1, 0}} {
+				before := make([]FIBStamp, len(in.fibs))
+				sets := make([]map[ExportedRule]bool, len(in.fibs))
+				for i, f := range in.fibs {
+					before[i], sets[i] = f.Stamp(), exportSet(f)
+				}
+				route, err := pl.Plan(bs, chain, n.gw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := in.InstallPath(route); err != nil {
+					t.Fatal(err)
+				}
+				for i, f := range in.fibs {
+					after := exportSet(f)
+					same := len(after) == len(sets[i])
+					for r := range after {
+						same = same && sets[i][r]
+					}
+					if !same && f.Stamp() == before[i] {
+						t.Fatalf("opts %+v bs %d chain %v: switch %d's rules changed but its stamp did not", opts, bs, chain, i)
+					}
+				}
+			}
+		}
 	}
 }

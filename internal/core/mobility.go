@@ -23,6 +23,7 @@ func (t *prefixTrie) Remove(p packet.Prefix) bool {
 
 // RemoveMobility deletes a /32 mobility override for one tag.
 func (f *FIB) RemoveMobility(dir Direction, tag packet.Tag, loc packet.Addr) bool {
+	f.touch()
 	t := f.mob[tagKey{dir, tag}]
 	if t == nil {
 		return false
@@ -33,6 +34,7 @@ func (f *FIB) RemoveMobility(dir Direction, tag packet.Tag, loc packet.Addr) boo
 // insertMobilityNoAgg installs an unmerged /32 override (so a later removal
 // is exact).
 func (f *FIB) insertMobilityNoAgg(dir Direction, tag packet.Tag, loc packet.Addr, nh NextHop) int {
+	f.touch()
 	k := tagKey{dir, tag}
 	t := f.mob[k]
 	if t == nil {
@@ -45,6 +47,7 @@ func (f *FIB) insertMobilityNoAgg(dir Direction, tag packet.Tag, loc packet.Addr
 // insertMobilityFromMB installs a branch-switch override that applies only
 // to traffic returning from the given middlebox with the given tag.
 func (f *FIB) insertMobilityFromMB(dir Direction, mb topo.MBInstanceID, tag packet.Tag, loc packet.Addr, nh NextHop) int {
+	f.touch()
 	k := mbCtx{dir, mb, tag}
 	t := f.mobMB[k]
 	if t == nil {
@@ -56,6 +59,7 @@ func (f *FIB) insertMobilityFromMB(dir Direction, mb topo.MBInstanceID, tag pack
 
 // removeMobilityFromMB deletes a branch-switch override.
 func (f *FIB) removeMobilityFromMB(dir Direction, mb topo.MBInstanceID, tag packet.Tag, loc packet.Addr) bool {
+	f.touch()
 	t := f.mobMB[mbCtx{dir, mb, tag}]
 	if t == nil {
 		return false

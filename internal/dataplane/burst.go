@@ -28,11 +28,11 @@ type BurstOutcome struct {
 
 // BurstSender is one goroutine's handle for burst injection: it owns the
 // walker and the walk-result and header-restore scratch, so steady-state
-// sends allocate nothing. Concurrent senders are safe while their
-// traffic is established; a packet that punts to the agent is resolved
-// through SendUpstream, which installs state and resyncs the switches,
-// so bursts carrying new flows must not run concurrently with other
-// injection.
+// sends allocate nothing. Senders may run concurrently with each other,
+// with single-packet sends, handoffs and new flows: a punted packet is
+// resolved through SendUpstream, whose Sync is serialised and patches
+// each switch in one atomic batch, so a walk never sees a half-updated
+// table.
 type BurstSender struct {
 	n    *Network
 	w    *fastpath.Walker

@@ -48,10 +48,21 @@ type Network struct {
 	// GatewayNAT, when set, translates at the Internet boundary (§4.1).
 	GatewayNAT *mbox.NAT
 
-	plan     packet.Plan
-	mbPort   map[topo.MBInstanceID]int
-	agentAt  map[topo.NodeID]*agent.Agent
-	bindings []publicBinding // §7 public-IP classifiers, re-applied on Sync
+	plan    packet.Plan
+	mbPort  map[topo.MBInstanceID]int
+	agentAt map[topo.NodeID]*agent.Agent
+
+	// Sync state. stamps records, per switch, the FIB state its TCAM
+	// was last materialised from; the rest is reused scratch.
+	syncMu   sync.Mutex
+	bindings []publicBinding           // guarded by syncMu; §7 gateway classifiers
+	stamps   []core.FIBStamp           // guarded by syncMu
+	exported []core.ExportedRule       // guarded by syncMu; rules of the changed switches
+	changed  []core.ChangedFIB         // guarded by syncMu
+	want     []switchsim.Mod           // guarded by syncMu; one switch's wanted rules
+	need     map[switchsim.RuleKey]int // guarded by syncMu; diff multiset
+	keys     []switchsim.RuleKey       // guarded by syncMu; one switch's wanted keys
+	mods     []switchsim.Mod           // guarded by syncMu; one switch's Apply batch
 
 	fast    *fastpath.Net // the compiled network every packet walks
 	walkers sync.Pool     // *fastpath.Walker for single-packet sends
@@ -92,6 +103,8 @@ func New(ctrl *core.Controller, cfg Config) (*Network, error) {
 		Boxes:    make(map[topo.MBInstanceID]mbox.Middlebox),
 		plan:     ctrl.Plan(),
 		mbPort:   make(map[topo.MBInstanceID]int),
+		stamps:   make([]core.FIBStamp, len(t.Nodes)),
+		need:     make(map[switchsim.RuleKey]int),
 	}
 	links := make([][]fastpath.Link, len(t.Nodes))
 	for i := range t.Nodes {
@@ -152,22 +165,111 @@ type natExit struct{ nat *mbox.NAT }
 
 func (e natExit) Process(p *packet.Packet) bool { return e.nat.Process(p, mbox.Upstream) }
 
-// Sync re-materialises every switch's TCAM from the controller's FIBs.
-// Call it after control-plane changes (path installs, handoffs). Microflow
-// tables and public-IP bindings are preserved.
+// Sync brings every switch's TCAM up to date with the controller's FIBs.
+// Call it after control-plane changes (path installs, handoffs, releases).
+// Only switches whose FIB changed since the last Sync are touched: each
+// gets the difference between the rules its FIB exports and the rules it
+// holds, applied as one atomic Apply batch, so walkers see the old table
+// or the new one and never a half-built one, and every unchanged rule
+// keeps its ID and traffic counters. A clean switch keeps its generation
+// and with it its compiled snapshot. Microflow tables are never touched.
+// Sync is safe to call concurrently with sends and with controller
+// writes. A switch whose rules cannot be materialised is left as it was
+// and retried by the next Sync; the first such error is returned.
 func (n *Network) Sync() error {
-	for i := range n.Switches {
-		if err := n.syncSwitch(topo.NodeID(i)); err != nil {
+	n.syncMu.Lock()
+	defer n.syncMu.Unlock()
+	n.exported, n.changed = n.Ctrl.ExportChangedFIBs(n.stamps, n.exported[:0], n.changed[:0])
+	var first error
+	lo := 0
+	for _, c := range n.changed {
+		if err := n.syncSwitch(c.Node, n.exported[lo:c.End]); err != nil {
+			n.stamps[c.Node] = core.FIBStamp{}
+			if first == nil {
+				first = err
+			}
+		}
+		lo = c.End
+	}
+	if cap(n.exported) > maxKeptExport {
+		// A full materialisation (the first Sync, a rebuild) exports every
+		// switch at once; do not keep that much scratch around.
+		n.exported = nil
+	}
+	// Recompile stale snapshots now — the switches just patched, and an
+	// access switch whose agent installed microflows — so the change is
+	// paid for here rather than on the next packet.
+	n.fast.Warm()
+	return first
+}
+
+// maxKeptExport bounds the exported-rule scratch Sync keeps between
+// calls: enough for the few switches a handoff or a new path touches.
+const maxKeptExport = 512
+
+// syncSwitch patches one switch's TCAM to hold the rules its FIB exports
+// plus, at the gateway, the §7 public-IP classifiers.
+//
+// caller holds syncMu
+func (n *Network) syncSwitch(node topo.NodeID, rules []core.ExportedRule) error {
+	want := n.want[:0]
+	for _, r := range rules {
+		m, err := n.ruleFor(node, r)
+		if err != nil {
 			return err
 		}
+		want = append(want, m)
 	}
-	for _, b := range n.bindings {
-		n.installBinding(b)
+	if node == n.Ctrl.Gateway() {
+		for _, b := range n.bindings {
+			want = append(want, n.bindingRule(b))
+		}
 	}
-	// Recompile stale snapshots now, so the control-plane change is paid
-	// for here rather than on the next packet.
-	n.fast.Warm()
+	n.want = want
+	n.applyDiff(n.Switches[node], want)
 	return nil
+}
+
+// applyDiff patches sw's TCAM to hold exactly the want multiset: rules it
+// holds and still wants stay untouched; the rest go, and the missing ones
+// arrive, in one Apply batch. An empty diff leaves the switch alone.
+//
+// caller holds syncMu
+func (n *Network) applyDiff(sw *switchsim.Switch, want []switchsim.Mod) {
+	held := sw.Rules()
+	if len(held) == 0 {
+		// Nothing to keep (the first Sync): install the lot.
+		if len(want) > 0 {
+			sw.Apply(want)
+		}
+		return
+	}
+	clear(n.need)
+	keys := n.keys[:0]
+	for i := range want {
+		k := switchsim.KeyOf(want[i].Priority, want[i].Match, want[i].Action)
+		keys = append(keys, k)
+		n.need[k]++
+	}
+	mods := n.mods[:0]
+	for i := range held {
+		k := held[i].Key()
+		if n.need[k] > 0 {
+			n.need[k]--
+			continue
+		}
+		mods = append(mods, switchsim.Mod{Remove: held[i].ID})
+	}
+	for i, k := range keys {
+		if n.need[k] > 0 {
+			n.need[k]--
+			mods = append(mods, want[i])
+		}
+	}
+	if len(mods) > 0 {
+		sw.Apply(mods)
+	}
+	n.keys, n.mods = keys, mods
 }
 
 // publicBinding is one §7 gateway classifier.
@@ -177,38 +279,24 @@ type publicBinding struct {
 	tag    packet.Tag
 }
 
-func (n *Network) installBinding(b publicBinding) {
+// bindingRule materialises a public-IP binding as a gateway rule.
+func (n *Network) bindingRule(b publicBinding) switchsim.Mod {
 	loc, tag := b.loc, b.tag
-	n.Switches[n.Ctrl.Gateway()].Install(switchsim.PrioBinding, switchsim.Match{
+	return switchsim.Mod{Install: true, Priority: switchsim.PrioBinding, Match: switchsim.Match{
 		InPort: switchsim.AnyPort,
 		Dst:    packet.Prefix{Addr: b.public, Len: 32},
-	}, switchsim.Action{
+	}, Action: switchsim.Action{
 		Resubmit:   true,
 		Output:     -1,
 		SetDst:     &loc,
 		SetDstTag:  &tag,
 		TagEphBits: n.plan.EphemeralBits(),
-	})
+	}}
 }
 
-// syncSwitch rebuilds one switch's TCAM.
-func (n *Network) syncSwitch(node topo.NodeID) error {
-	sw := n.Switches[node]
-	sw.ClearTCAM()
-	var exportErr error
-	n.Ctrl.Installer.FIB(node).Export(func(r core.ExportedRule) {
-		if exportErr != nil {
-			return
-		}
-		if err := n.installExported(sw, node, r); err != nil {
-			exportErr = err
-		}
-	})
-	return exportErr
-}
-
-// installExported translates one abstract rule into a concrete TCAM entry.
-func (n *Network) installExported(sw *switchsim.Switch, node topo.NodeID, r core.ExportedRule) error {
+// ruleFor translates one abstract rule of a switch into a concrete TCAM
+// entry.
+func (n *Network) ruleFor(node topo.NodeID, r core.ExportedRule) (switchsim.Mod, error) {
 	m := switchsim.Match{InPort: switchsim.AnyPort}
 	prefix := r.Prefix
 	// Clamp catch-alls (like the gateway exit route) to the carrier block
@@ -223,11 +311,11 @@ func (n *Network) installExported(sw *switchsim.Switch, node topo.NodeID, r core
 	}
 	if r.Tag != 0 {
 		if r.Tag > n.plan.MaxTag() {
-			return fmt.Errorf("dataplane: tag %d exceeds the plan's %d-bit field (use a wider plan for dataplane networks)", r.Tag, n.plan.TagBits)
+			return switchsim.Mod{}, fmt.Errorf("dataplane: tag %d exceeds the plan's %d-bit field (use a wider plan for dataplane networks)", r.Tag, n.plan.TagBits)
 		}
 		lo, hi, err := n.plan.TagPortRange(r.Tag)
 		if err != nil {
-			return err
+			return switchsim.Mod{}, err
 		}
 		if r.Dir == core.Down {
 			m.DstPortLo, m.DstPortHi = lo, hi
@@ -241,7 +329,7 @@ func (n *Network) installExported(sw *switchsim.Switch, node topo.NodeID, r core
 	case r.From != topo.None:
 		p := n.T.Nodes[node].PortTo(r.From)
 		if p < 0 {
-			return fmt.Errorf("dataplane: switch %d has no port to %d", node, r.From)
+			return switchsim.Mod{}, fmt.Errorf("dataplane: switch %d has no port to %d", node, r.From)
 		}
 		m.InPort = p
 	}
@@ -260,13 +348,13 @@ func (n *Network) installExported(sw *switchsim.Switch, node topo.NodeID, r core
 	default:
 		p := n.T.Nodes[node].PortTo(r.NH.Node)
 		if p < 0 {
-			return fmt.Errorf("dataplane: switch %d has no port to next hop %d", node, r.NH.Node)
+			return switchsim.Mod{}, fmt.Errorf("dataplane: switch %d has no port to next hop %d", node, r.NH.Node)
 		}
 		act.Output = p
 	}
 	if r.NH.NewTag != 0 {
 		if r.NH.NewTag > n.plan.MaxTag() {
-			return fmt.Errorf("dataplane: swap tag %d exceeds the plan's tag field", r.NH.NewTag)
+			return switchsim.Mod{}, fmt.Errorf("dataplane: swap tag %d exceeds the plan's tag field", r.NH.NewTag)
 		}
 		tag := r.NH.NewTag
 		act.TagEphBits = n.plan.EphemeralBits()
@@ -276,8 +364,7 @@ func (n *Network) installExported(sw *switchsim.Switch, node topo.NodeID, r core
 			act.SetSrcTag = &tag
 		}
 	}
-	sw.Install(bandPriority[r.Band]+r.Prefix.Len, m, act)
-	return nil
+	return switchsim.Mod{Install: true, Priority: bandPriority[r.Band] + r.Prefix.Len, Match: m, Action: act}, nil
 }
 
 // Hop is one event of a packet walk.
@@ -496,8 +583,10 @@ func (n *Network) BindPublicIP(imsi string, public packet.Addr, clause int) erro
 	if err != nil {
 		return err
 	}
-	b := publicBinding{public: public, loc: ue.LocIP, tag: tag}
-	n.bindings = append(n.bindings, b)
+	n.syncMu.Lock()
+	n.bindings = append(n.bindings, publicBinding{public: public, loc: ue.LocIP, tag: tag})
+	n.stamps[n.Ctrl.Gateway()] = core.FIBStamp{} // the gateway's wanted rules changed
+	n.syncMu.Unlock()
 	n.Agents[ue.BS].AllowInbound(ue.LocIP, tag)
 	return n.Sync()
 }
@@ -506,6 +595,15 @@ func (n *Network) BindPublicIP(imsi string, public packet.Addr, clause int) erro
 // new-agent admission, microflow migration with tunnelling, and TCAM
 // resync. It returns the controller's result (for later ReleaseOldLocIP).
 func (n *Network) Handoff(imsi string, newBS packet.BSID) (core.HandoffResult, error) {
+	res, err := n.handoff(imsi, newBS)
+	if err != nil {
+		return res, err
+	}
+	return res, n.Sync()
+}
+
+// handoff is Handoff without the closing Sync.
+func (n *Network) handoff(imsi string, newBS packet.BSID) (core.HandoffResult, error) {
 	ue, ok := n.Ctrl.LookupUE(imsi)
 	if !ok {
 		return core.HandoffResult{}, fmt.Errorf("dataplane: unknown UE %q", imsi)
@@ -519,10 +617,7 @@ func (n *Network) Handoff(imsi string, newBS packet.BSID) (core.HandoffResult, e
 	if err := newAgent.AdmitUE(res.UE, res.Classifiers); err != nil {
 		return res, err
 	}
-	if err := oldAgent.MigrateFlows(newAgent, res.UE, res.OldLocIP); err != nil {
-		return res, err
-	}
-	return res, n.Sync()
+	return res, oldAgent.MigrateFlows(newAgent, res.UE, res.OldLocIP)
 }
 
 // Attach runs the attach choreography: controller admission plus agent

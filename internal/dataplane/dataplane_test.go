@@ -54,9 +54,18 @@ func newFig3(t *testing.T) *fig3 {
 
 func newNet(t *testing.T, natPool packet.Prefix) (*Network, *fig3) {
 	t.Helper()
+	return newNetWith(t, natPool, core.InstallerOptions{})
+}
+
+// newNetWith is newNet with the given installer options; a non-zero
+// opts.Plan replaces the default address plan.
+func newNetWith(t *testing.T, natPool packet.Prefix, opts core.InstallerOptions) (*Network, *fig3) {
+	t.Helper()
 	n := newFig3(t)
 	ctrl, err := core.NewController(n.Topology, core.ControllerConfig{
 		Gateway: n.gw,
+		Plan:    opts.Plan,
+		Install: opts,
 		Policy:  policy.ExampleCarrierPolicy(),
 		MBTypes: map[string]topo.MBType{
 			policy.MBFirewall:   0,

@@ -15,7 +15,14 @@ import (
 // pod and core meshes, multiple middlebox instances per type).
 func genNet(t *testing.T) *Network {
 	t.Helper()
-	g, err := topo.Generate(topo.GenParams{K: 4, ClusterSize: 10, MBTypes: 3, Seed: 5})
+	return newGenNet(t, 10, 5)
+}
+
+// newGenNet assembles a full network over the generated topology with
+// k=4, the given ring cluster size and middlebox placement seed.
+func newGenNet(t testing.TB, cluster int, seed int64) *Network {
+	t.Helper()
+	g, err := topo.Generate(topo.GenParams{K: 4, ClusterSize: cluster, MBTypes: 3, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

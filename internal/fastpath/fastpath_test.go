@@ -268,7 +268,7 @@ func TestSnapshotGeneration(t *testing.T) {
 		func() {
 			sw.Apply([]switchsim.Mod{{Install: true, Priority: 5, Match: switchsim.MatchAll(), Action: switchsim.DropAction()}})
 		},
-		func() { sw.ClearTCAM() },
+		func() { sw.Apply(removeAll(sw)) },
 	}
 	for i, mut := range mutations {
 		before := fib.Acquire()
@@ -290,6 +290,15 @@ func TestSnapshotGeneration(t *testing.T) {
 	if fib.Acquire() != before {
 		t.Fatal("failed removals must not invalidate the snapshot")
 	}
+}
+
+// removeAll is an Apply batch removing every TCAM rule of sw.
+func removeAll(sw *switchsim.Switch) []switchsim.Mod {
+	var mods []switchsim.Mod
+	for _, r := range sw.Rules() {
+		mods = append(mods, switchsim.Mod{Remove: r.ID})
+	}
+	return mods
 }
 
 // TestSnapshotSwapRace stresses concurrent burst workers against a
@@ -325,7 +334,7 @@ func TestSnapshotSwapRace(t *testing.T) {
 		r := rand.New(rand.NewSource(99))
 		var ids []switchsim.RuleID
 		for i := 0; i < 400; i++ {
-			switch r.Intn(4) {
+			switch r.Intn(5) {
 			case 0:
 				ids = append(ids, sw.Install(r.Intn(900), genMatch(r), genAction(r)))
 			case 1:
@@ -337,6 +346,15 @@ func TestSnapshotSwapRace(t *testing.T) {
 				sw.InstallMicroflow(genPacket(r).Flow(), genAction(r))
 			case 3:
 				sw.Apply([]switchsim.Mod{{Install: true, Priority: r.Intn(900), Match: genMatch(r), Action: genAction(r)}})
+			case 4:
+				// Clear the TCAM and refill it in one atomic batch, as a
+				// data-plane resync rewriting a whole table would.
+				mods := removeAll(sw)
+				for _, s := range genSpecs(r, 4) {
+					mods = append(mods, switchsim.Mod{Install: true, Priority: s.prio, Match: s.m, Action: s.a})
+				}
+				sw.Apply(mods)
+				ids = ids[:0]
 			}
 		}
 		stop.Store(true)

@@ -94,8 +94,9 @@ func (n *Net) FIB(i int) *FIB { return n.fibs[i] }
 
 // Warm recompiles every stale snapshot a walk has already compiled, so
 // the next walk pays no compile cost; a switch no walk has reached yet
-// stays uncompiled until one does. Control-plane sync points call it
-// after table rebuilds.
+// stays uncompiled until one does, and a switch whose generation did not
+// move costs two atomic loads. Control-plane sync points call it after
+// patching tables.
 func (n *Net) Warm() {
 	for _, f := range n.fibs {
 		if f.snap.Load() != nil {

@@ -57,6 +57,81 @@ func (r *Rule) snapshot() Rule {
 	}
 }
 
+// Key returns the rule's content as a comparable value; see RuleKey.
+func (r *Rule) Key() RuleKey { return KeyOf(r.Priority, r.Match, r.Action) }
+
+// RuleKey is a TCAM entry's content as a comparable value: priority,
+// normalised match, and the action with its rewrite pointers flattened to
+// values. Entries with equal keys forward every packet identically, so a
+// controller reconciling a switch against the entries it wants keeps
+// every installed rule whose key it still wants — its ID and counters
+// with it. The fields are packed without padding so map hashing and
+// equality run over one flat block of memory; ports, priorities and
+// prefix lengths beyond 32 bits (or 8, for lengths) are outside any table
+// this package models.
+type RuleKey struct {
+	prio, inPort, output     int32
+	src, dst, setSrc, setDst packet.Addr
+	stag, dtag               packet.Tag
+	sLo, sHi, dLo, dHi       uint16
+	sport, dport             uint16
+	srcLen, dstLen           uint8
+	proto                    packet.Proto
+	flags                    uint8 // drop, to-controller, resubmit
+	set                      uint8 // rewrite presence bits, in Action field order
+	ephBits, dscp            uint8
+	pad                      uint8 // always zero; keeps the struct padding-free
+}
+
+// KeyOf builds the RuleKey of an entry with the given content.
+func KeyOf(prio int, m Match, a Action) RuleKey {
+	m = m.normalised()
+	k := RuleKey{
+		prio: int32(prio), inPort: int32(m.InPort), output: int32(a.Output),
+		src: m.Src.Addr, dst: m.Dst.Addr, srcLen: uint8(m.Src.Len), dstLen: uint8(m.Dst.Len),
+		sLo: m.SrcPortLo, sHi: m.SrcPortHi, dLo: m.DstPortLo, dHi: m.DstPortHi,
+		proto: m.Proto, ephBits: uint8(a.TagEphBits),
+	}
+	if a.Drop {
+		k.flags |= 1 << 0
+	}
+	if a.ToController {
+		k.flags |= 1 << 1
+	}
+	if a.Resubmit {
+		k.flags |= 1 << 2
+	}
+	if a.SetSrc != nil {
+		k.set |= 1 << 0
+		k.setSrc = *a.SetSrc
+	}
+	if a.SetDst != nil {
+		k.set |= 1 << 1
+		k.setDst = *a.SetDst
+	}
+	if a.SetSrcPort != nil {
+		k.set |= 1 << 2
+		k.sport = *a.SetSrcPort
+	}
+	if a.SetDstPort != nil {
+		k.set |= 1 << 3
+		k.dport = *a.SetDstPort
+	}
+	if a.SetSrcTag != nil {
+		k.set |= 1 << 4
+		k.stag = *a.SetSrcTag
+	}
+	if a.SetDstTag != nil {
+		k.set |= 1 << 5
+		k.dtag = *a.SetDstTag
+	}
+	if a.SetDSCP != nil {
+		k.set |= 1 << 6
+		k.dscp = *a.SetDSCP
+	}
+	return k
+}
+
 func (r *Rule) String() string {
 	return fmt.Sprintf("#%d prio=%d %s -> %s", r.ID, r.Priority, r.Match, r.Action)
 }
@@ -101,7 +176,8 @@ type Switch struct {
 	nextSeq uint64                   // guarded by mu
 
 	// gen counts table mutations: every Install/Remove (TCAM or
-	// microflow), Apply and ClearTCAM bumps it. Writes happen under mu;
+	// microflow) bumps it, and so does each rule an Apply installs or
+	// removes. Writes happen under mu;
 	// reads go through Generation's atomic load, so fast-path snapshot
 	// caches detect staleness without touching the lock.
 	gen uint64
@@ -124,7 +200,7 @@ type Switch struct {
 
 // Generation reports the table-mutation counter. A compiled snapshot taken
 // at generation g is exactly the current tables iff Generation() == g; a
-// mismatch means Apply/ClearTCAM/Install/Remove ran since and the snapshot
+// mismatch means Apply/Install/Remove ran since and the snapshot
 // must be recompiled rather than silently served.
 func (s *Switch) Generation() uint64 {
 	return atomic.LoadUint64(&s.gen)
@@ -429,15 +505,4 @@ func (s *Switch) Rule(id RuleID) (Rule, bool) {
 		return Rule{}, false
 	}
 	return r.snapshot(), true
-}
-
-// ClearTCAM removes every TCAM rule but keeps the microflow table — the
-// dataplane uses it to re-materialise controller state without disturbing
-// agent-installed flows.
-func (s *Switch) ClearTCAM() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.bumpGen()
-	s.rules = make(map[RuleID]*Rule)
-	s.ordered = nil
 }

@@ -181,6 +181,45 @@ func TestApplyAtomicBatch(t *testing.T) {
 	}
 }
 
+// TestRuleKey checks that keys compare rule content: rewrite values, not
+// pointer identity; a zero port range equals the full range it normalises
+// to; and every match and action field tells keys apart.
+func TestRuleKey(t *testing.T) {
+	a1, a2 := packet.AddrFrom4(10, 0, 0, 1), packet.AddrFrom4(10, 0, 0, 1)
+	tag1, tag2 := packet.Tag(5), packet.Tag(5)
+	m := Match{InPort: AnyPort, Dst: packet.NewPrefix(packet.AddrFrom4(10, 0, 0, 0), 8)}
+	base := KeyOf(PrioTag, m, Action{Output: 2, SetDst: &a1, SetDstTag: &tag1, TagEphBits: 10})
+	if KeyOf(PrioTag, m, Action{Output: 2, SetDst: &a2, SetDstTag: &tag2, TagEphBits: 10}) != base {
+		t.Fatal("equal content behind distinct pointers must key equal")
+	}
+	full := m
+	full.SrcPortHi, full.DstPortHi = 0xFFFF, 0xFFFF
+	if KeyOf(PrioTag, full, Action{Output: 2, SetDst: &a1, SetDstTag: &tag1, TagEphBits: 10}) != base {
+		t.Fatal("a zero port range must key equal to the full range")
+	}
+	other := packet.AddrFrom4(10, 0, 0, 2)
+	otherTag := packet.Tag(6)
+	dscp := uint8(46)
+	for name, k := range map[string]RuleKey{
+		"priority":  KeyOf(PrioTag+1, m, Action{Output: 2, SetDst: &a1, SetDstTag: &tag1, TagEphBits: 10}),
+		"in-port":   KeyOf(PrioTag, Match{InPort: 3, Dst: m.Dst}, Action{Output: 2, SetDst: &a1, SetDstTag: &tag1, TagEphBits: 10}),
+		"prefix":    KeyOf(PrioTag, Match{InPort: AnyPort, Dst: packet.NewPrefix(packet.AddrFrom4(10, 0, 0, 0), 9)}, Action{Output: 2, SetDst: &a1, SetDstTag: &tag1, TagEphBits: 10}),
+		"output":    KeyOf(PrioTag, m, Action{Output: 3, SetDst: &a1, SetDstTag: &tag1, TagEphBits: 10}),
+		"punt":      KeyOf(PrioTag, m, Action{Output: 2, ToController: true, SetDst: &a1, SetDstTag: &tag1, TagEphBits: 10}),
+		"set dst":   KeyOf(PrioTag, m, Action{Output: 2, SetDst: &other, SetDstTag: &tag1, TagEphBits: 10}),
+		"no set":    KeyOf(PrioTag, m, Action{Output: 2, SetDstTag: &tag1, TagEphBits: 10}),
+		"set src":   KeyOf(PrioTag, m, Action{Output: 2, SetSrc: &a1, SetDstTag: &tag1, TagEphBits: 10}),
+		"dst tag":   KeyOf(PrioTag, m, Action{Output: 2, SetDst: &a1, SetDstTag: &otherTag, TagEphBits: 10}),
+		"src tag":   KeyOf(PrioTag, m, Action{Output: 2, SetDst: &a1, SetSrcTag: &tag1, TagEphBits: 10}),
+		"eph bits":  KeyOf(PrioTag, m, Action{Output: 2, SetDst: &a1, SetDstTag: &tag1, TagEphBits: 9}),
+		"dscp mark": KeyOf(PrioTag, m, Action{Output: 2, SetDst: &a1, SetDstTag: &tag1, TagEphBits: 10, SetDSCP: &dscp}),
+	} {
+		if k == base {
+			t.Errorf("keys must differ in %s", name)
+		}
+	}
+}
+
 func TestCounters(t *testing.T) {
 	s := NewSwitch("s")
 	id := s.Install(PrioTag, MatchAll(), Forward(1))
